@@ -66,11 +66,10 @@ class RealClusterConfig:
     the kernel's loopback actually does.  ``codec`` picks the wire
     format every node *prefers* (``"bin"`` — the compact default — or
     ``"json"`` as a debug/compat mode; the actual format is negotiated
-    per connection, so mixed clusters interoperate).  ``flush_tick``
-    overrides the links' micro-batching flush tick (``0.0`` disables
-    the wait; ``None`` keeps the transport default), and ``batch_bytes``
-    the per-flush byte cap (``0`` means one frame per flush — the
-    unbatched data path, kept as a benchmark baseline).
+    per connection, so mixed clusters interoperate).  ``batch_bytes``
+    overrides the links' per-write byte cap (``0`` means one frame per
+    write — the unbatched data path, kept as a benchmark baseline;
+    ``None`` keeps the transport default).
     """
 
     seed: int = 0
@@ -81,7 +80,6 @@ class RealClusterConfig:
     host: str = "127.0.0.1"
     detailed_stats: bool = True
     codec: str = "bin"
-    flush_tick: float | None = None
     batch_bytes: int | None = None
     trace_level: str = "full"
     trace_capacity: int | None = None
@@ -281,7 +279,6 @@ class RealCluster:
             port=0,
             detailed_stats=cfg.detailed_stats,
             codec=cfg.codec,
-            flush_tick=cfg.flush_tick,
             batch_bytes=cfg.batch_bytes,
             quiet=cfg.quiet,
             obs=self.obs,

@@ -187,31 +187,6 @@ def decode_frame_body(body: bytes) -> dict[str, Any]:
     return frame
 
 
-async def read_frame(reader: Any) -> dict[str, Any] | None:
-    """Read one frame from an :class:`asyncio.StreamReader`.
-
-    Returns None on clean EOF at a frame boundary; raises
-    :class:`CodecError` on an oversized length prefix and lets socket
-    errors propagate to the caller's reconnect logic.
-    """
-    import asyncio
-
-    try:
-        prefix = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise CodecError("connection closed mid-length-prefix") from None
-    (length,) = _LEN.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise CodecError(f"frame length {length} exceeds cap {MAX_FRAME_BYTES}")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise CodecError("connection closed mid-frame") from None
-    return decode_frame_body(body)
-
-
 # -- registry population --------------------------------------------------
 #
 # Every message the fd/gms/vsync/evs stacks put on the wire, plus the

@@ -142,6 +142,8 @@ class RealClusterDriver:
 
     def _submit(self, coro: Any, timeout: float | None = None) -> Any:
         """Run ``coro`` on the loop thread, block until its result."""
+        if self._loop is None or self._on_loop():
+            coro.close()  # never scheduled: close it so it is not leaked
         if self._loop is None:
             raise SimulationError("driver is not running")
         if self._on_loop():  # would deadlock waiting on ourselves

@@ -77,7 +77,6 @@ class RealNetwork:
         rng: RngStreams | None = None,
         detailed_stats: bool = True,
         codec: str = "bin",
-        flush_tick: float | None = None,
         batch_bytes: int | None = None,
         quiet: bool = True,
     ) -> None:
@@ -93,7 +92,6 @@ class RealNetwork:
         self.stats = NetworkStats(detailed=detailed_stats)
         self._formats = supported_formats(codec)
         self._preferred = WIRE_FORMATS[self._formats[0]]
-        self._flush_tick = flush_tick
         self._batch_bytes = batch_bytes
         if not quiet:
             enable_stderr_logging()
@@ -231,7 +229,7 @@ class RealNetwork:
         if fmt.name not in cell:
             # Encode eagerly in our preferred format: the work is shared
             # across the fan-out and an unencodable payload raises here,
-            # in the sender's context, not in a background link task.
+            # in the sender's context, not in a deferred link flush.
             cell[fmt.name] = fmt.encode_payload(payload)
         msg = OutMessage(dst_inc, payload, cell)
         if delay > 0:
@@ -249,11 +247,6 @@ class RealNetwork:
                 dst_site=dst_site,
                 resolve=lambda site=dst_site: self.address_book.get(site),
                 offer_formats=self._formats,
-                **(
-                    {}
-                    if self._flush_tick is None
-                    else {"flush_tick": self._flush_tick}
-                ),
                 **(
                     {}
                     if self._batch_bytes is None

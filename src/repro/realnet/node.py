@@ -88,7 +88,6 @@ class RealNode:
         port: int = 0,
         detailed_stats: bool = True,
         codec: str = "bin",
-        flush_tick: float | None = None,
         batch_bytes: int | None = None,
         quiet: bool = True,
         obs: Any = None,
@@ -127,7 +126,6 @@ class RealNode:
             rng=rng,
             detailed_stats=detailed_stats,
             codec=codec,
-            flush_tick=flush_tick,
             batch_bytes=batch_bytes,
             quiet=quiet,
         )

@@ -467,6 +467,8 @@ class ProcRealClusterDriver:
         )
 
     def _submit(self, coro: Any, timeout: float | None = None) -> Any:
+        if self._loop is None or self._on_loop():
+            coro.close()  # never scheduled: close it so it is not leaked
         if self._loop is None:
             raise SimulationError("driver is not running")
         if self._on_loop():
@@ -568,10 +570,8 @@ class ProcRealClusterDriver:
         poll: float = 0.05,
     ) -> bool:
         if self._on_loop():
-            return self._submit(
-                self._wait_async(lambda: predicate(self), timeout, poll),
-                timeout=timeout + ACTION_TIMEOUT,
-            )
+            # Blocking here would wait on the loop we are running on.
+            raise SimulationError("blocking driver call from the loop thread")
         # Off-loop callers get the predicate evaluated on *their* thread,
         # so it may itself make blocking driver calls (delivered_total,
         # metrics_snapshot, ...) without deadlocking the loop thread.

@@ -10,27 +10,38 @@ answers with one JSON ``welcome`` naming the format it picked (see
 that travels in the negotiated format.  A JSON-only peer and a
 binary-capable peer therefore interoperate without configuration.
 
-Each :class:`PeerLink` owns a bounded send queue and a background task
-that dials (re-resolving the peer's address each attempt, so a peer
-that recovered on a fresh port is found), handshakes, and drains the
-queue in **micro-batches**: after the first queued message it waits at
-most :data:`FLUSH_TICK` (sub-millisecond) for stragglers, packs
-everything queued — bounded by :data:`BATCH_BYTES` — into one
-``writelines`` + ``drain`` flush, and encodes each message in the
-link's negotiated format (payload bytes are encoded once per format
-and shared across a multicast's links via
-:class:`OutMessage`).  Connection failures trigger exponential backoff
-(:data:`BACKOFF_BASE` doubling to :data:`BACKOFF_CAP`); messages
-offered while the queue is full are dropped — the group protocols
-above are built to tolerate message loss, so a dead or wedged peer
-costs bounded memory, never backpressure into protocol code.
+Both ends are plain :class:`asyncio.Protocol` callbacks; no coroutine
+or task sits on the per-frame path.
 
-The server side accepts any number of connections, validates the
-``hello``, replies with the ``welcome``, and then splits its read
-buffer into frames in batches — one ``reader.read`` can yield dozens
-of frames, each handed synchronously to the node's receive callback —
-instead of paying two ``readexactly`` awaits per frame.  A connection
-that talks garbage is logged and closed; the node keeps serving.
+**Send side.**  Each :class:`PeerLink` is the protocol of its own
+outbound connection and owns a bounded pending list.  The first
+:meth:`PeerLink.offer` in a loop turn schedules one ``call_soon``
+flush; by the time it runs, the rest of that turn's fan-out or
+protocol round has landed behind it.  The flush packs every pending
+frame — bounded per write by :data:`BATCH_BYTES` — into a fresh
+``bytearray`` with ``frame_msg_into`` and hands it to
+``transport.write()``.  Each message is encoded in the link's
+negotiated format (payload bytes are encoded once per format and
+shared across a multicast's links via :class:`OutMessage`).  A
+stalled peer pauses the transport (``pause_writing``); frames then
+wait in the pending list until ``resume_writing``, and frames offered
+while it holds :data:`SEND_QUEUE_CAP` are dropped.  The group
+protocols above are built to tolerate message loss, so a dead or
+wedged peer costs bounded memory, never backpressure into protocol
+code.  Off the data path, one dial task per link connects
+(re-resolving the peer's address each attempt, so a peer that
+recovered on a fresh port is found) and reconnects with exponential
+backoff (:data:`BACKOFF_BASE` doubling to :data:`BACKOFF_CAP`).
+
+**Receive side.**  The server accepts any number of connections, each
+with its own :class:`_InboundConnection` protocol.  The first frame
+must be the ``hello``, answered with the ``welcome``; every later
+frame is walked in ``data_received`` at its offset in the received
+chunk (``parse_msg_at``) and handed synchronously to the node's
+receive callback.  Only a partial frame at the end of a chunk is
+copied, into a carry buffer that the next chunk extends.  A connection
+whose framing breaks is logged and closed; a well-framed garbage body
+is counted and skipped.  The node keeps serving either way.
 
 Diagnostics go through the ``repro.realnet.*`` :mod:`logging` loggers
 (silent by default; :func:`enable_stderr_logging` restores the old
@@ -50,7 +61,6 @@ from repro.realnet.codec import (
     _LEN,
     decode_frame_body,
     encode_frame,
-    read_frame,
 )
 from repro.realnet.codec_bin import (
     FORMAT_JSON,
@@ -67,25 +77,16 @@ logger = logging.getLogger("repro.realnet.transport")
 BACKOFF_BASE = 0.05
 BACKOFF_CAP = 1.0
 
-#: Outbound messages buffered per peer while (re)connecting.
+#: Outbound messages held per peer while (re)connecting or paused.
 SEND_QUEUE_CAP = 2048
 
-#: Micro-batch flush tick: after the first queued message, wait this
-#: long (seconds) for more before flushing.  Sub-millisecond — far
-#: below every protocol timer — but long enough to coalesce a
-#: multicast fan-out or a flush round into one syscall.  0 disables
-#: the wait (PR-2 behavior: flush whatever is already queued).
-FLUSH_TICK = 0.0005
-
-#: Byte bound per flush: stop packing when a batch reaches this size.
+#: Byte bound per write: a flush starts a new batch buffer once the
+#: current one reaches this size (``0``: one frame per write).
 BATCH_BYTES = 256 * 1024
 
 #: How long the dialer waits for the server's ``welcome`` before
 #: assuming a pre-negotiation peer and falling back to JSON.
 WELCOME_TIMEOUT = 2.0
-
-#: Server-side read size for the batched frame-splitting loop.
-READ_CHUNK = 256 * 1024
 
 Resolver = Callable[[], "tuple[str, int] | None"]
 
@@ -103,6 +104,14 @@ def enable_stderr_logging(level: int = logging.INFO) -> logging.Logger:
         root.addHandler(handler)
     root.setLevel(level)
     return root
+
+
+def _close_transport(transport: asyncio.BaseTransport) -> None:
+    """Close promptly: flush what is buffered unless the peer stalled."""
+    if transport.get_write_buffer_size():  # type: ignore[attr-defined]
+        transport.abort()  # type: ignore[attr-defined]
+    else:
+        transport.close()
 
 
 class OutMessage:
@@ -129,8 +138,13 @@ class OutMessage:
         return enc
 
 
-class PeerLink:
-    """Outbound message pipe to one peer site: reconnect, negotiate, batch."""
+class PeerLink(asyncio.Protocol):
+    """Outbound message pipe to one peer site: reconnect, negotiate, batch.
+
+    The link is the protocol of its (at most one) live connection.
+    Frames offered before the ``welcome`` arrives wait in the pending
+    list and go out in order once the format is known.
+    """
 
     def __init__(
         self,
@@ -140,7 +154,6 @@ class PeerLink:
         resolve: Resolver,
         offer_formats: tuple[str, ...] = (FORMAT_JSON,),
         queue_cap: int = SEND_QUEUE_CAP,
-        flush_tick: float = FLUSH_TICK,
         batch_bytes: int = BATCH_BYTES,
     ) -> None:
         self.name = name
@@ -148,11 +161,20 @@ class PeerLink:
         self._dst_site = dst_site
         self._resolve = resolve
         self._offer = offer_formats
-        self._flush_tick = flush_tick
+        self._cap = queue_cap
         self._batch_bytes = batch_bytes
-        self._queue: asyncio.Queue[OutMessage] = asyncio.Queue(maxsize=queue_cap)
+        self._pending: list[OutMessage] = []
         self._task: asyncio.Task | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._transport: asyncio.Transport | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        #: Negotiated format object; None until the welcome (or its
+        #: timeout) — frames are only packed once it is known.
+        self._fmt: Any = None
+        self._rx = bytearray()  # welcome bytes received so far
+        self._welcome_timer: asyncio.TimerHandle | None = None
+        self._flush_handle: asyncio.Handle | None = None
+        self._paused = False
+        self._closed: asyncio.Future | None = None
         #: Wire-format name negotiated on the current connection.
         self.wire_format: str | None = None
         self.frames_sent = 0
@@ -180,39 +202,107 @@ class PeerLink:
         self._src = src
 
     def offer(self, msg: OutMessage) -> bool:
-        """Enqueue a message for transmission; False (dropped) when full."""
-        try:
-            self._queue.put_nowait(msg)
-            return True
-        except asyncio.QueueFull:
+        """Queue a message for the next flush; False (dropped) when full."""
+        pending = self._pending
+        if len(pending) >= self._cap:
             self.frames_dropped += 1
             return False
+        pending.append(msg)
+        if self._flush_handle is None:
+            self._schedule_flush()
+        return True
 
     async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
+        task, self._task = self._task, None
+        if task is not None:
+            task.cancel()
             try:
-                await self._task
+                await task
             except asyncio.CancelledError:
                 pass
-            self._task = None
-        await self._close_writer()
+        transport = self._transport
+        if transport is not None:
+            _close_transport(transport)
+        self._reset()
 
-    async def _close_writer(self) -> None:
-        writer, self._writer = self._writer, None
-        self.wire_format = None
-        if writer is not None:
-            writer.close()
+    # -- data path -----------------------------------------------------
+
+    def _flush(self) -> None:
+        """Pack and write everything pending (one call per loop turn)."""
+        self._flush_handle = None
+        fmt = self._fmt
+        transport = self._transport
+        pending = self._pending
+        count = len(pending)
+        # Re-read per flush: rebind_src may have moved the link to a
+        # fresh local incarnation mid-connection.
+        src = self._src
+        dst_site = self._dst_site
+        batch_bytes = self._batch_bytes
+        frame_into = fmt.frame_msg_into
+        # The batch buffer must be *fresh* per write: the transport may
+        # keep a reference to the object it was handed (uvloop does),
+        # so reusing it would corrupt in-flight data.
+        batch = bytearray()
+        frames = 0
+        done = 0
+        while done < count:
+            msg = pending[done]
+            done += 1
             try:
-                await writer.wait_closed()
-            except OSError:
-                pass
+                frame_into(batch, src, dst_site, msg.dst_inc, msg.encoded(fmt))
+            except CodecError as exc:
+                self.encode_errors += 1
+                logger.warning("link %s: cannot encode frame: %s", self.name, exc)
+            else:
+                frames += 1
+            if frames and (len(batch) >= batch_bytes or done == count):
+                transport.write(batch)
+                self.frames_sent += frames
+                self.bytes_sent += len(batch)
+                self.flushes += 1
+                if frames > self.max_batch:
+                    self.max_batch = frames
+                batch = bytearray()
+                frames = 0
+                if self._paused:
+                    # write() crossed the high-water mark: the rest
+                    # waits for resume_writing.
+                    break
+        del pending[:done]
 
-    async def _handshake(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> Any:
-        """Send hello, read welcome, return the negotiated wire format."""
-        writer.write(
+    def _schedule_flush(self) -> None:
+        """Arrange one flush after this loop turn, if the link can write."""
+        if (
+            self._flush_handle is None
+            and self._fmt is not None
+            and not self._paused
+            and self._pending
+        ):
+            self._flush_handle = self._loop.call_soon(self._flush)  # type: ignore[union-attr]
+
+    def _reset(self) -> None:
+        """Forget the current connection's state (it closed or is closing).
+
+        Cancelling the scheduled flush keeps the invariant ``_flush``
+        relies on: it only runs on a live, negotiated connection.
+        """
+        for handle in (self._welcome_timer, self._flush_handle):
+            if handle is not None:
+                handle.cancel()
+        self._welcome_timer = self._flush_handle = None
+        self._transport = None
+        self._fmt = None
+        self.wire_format = None
+        self._paused = False
+        self._rx = bytearray()
+
+    # -- protocol callbacks --------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+        self._loop = asyncio.get_running_loop()
+        transport.write(  # type: ignore[attr-defined]
             encode_frame(
                 {
                     "k": "hello",
@@ -222,68 +312,63 @@ class PeerLink:
                 }
             )
         )
-        await writer.drain()
-        chosen = FORMAT_JSON
-        try:
-            welcome = await asyncio.wait_for(read_frame(reader), WELCOME_TIMEOUT)
-        except (asyncio.TimeoutError, CodecError):
-            logger.debug("link %s: no welcome; assuming JSON peer", self.name)
-        else:
-            if welcome is None:
-                raise ConnectionError("peer closed during handshake")
-            name = welcome.get("codec") if welcome.get("k") == "welcome" else None
-            if name in self._offer and name in WIRE_FORMATS:
-                chosen = name
-        self.wire_format = chosen
-        return WIRE_FORMATS[chosen]
+        self._welcome_timer = self._loop.call_later(
+            WELCOME_TIMEOUT, self._no_welcome
+        )
 
-    async def _drain_queue(self, writer: asyncio.StreamWriter, fmt: Any) -> None:
-        queue = self._queue
-        flush_tick = self._flush_tick
-        batch_bytes = self._batch_bytes
-        frame_into = fmt.frame_msg_into
-        dst_site = self._dst_site
-        while True:
-            msg = await queue.get()
-            # Re-read per flush: rebind_src may have moved the link to a
-            # fresh local incarnation mid-connection.
-            src = self._src
-            if flush_tick > 0.0 and queue.empty():
-                # Sub-millisecond pause: let a fan-out or protocol round
-                # land its siblings in the queue, then flush once.
-                await asyncio.sleep(flush_tick)
-            # One batch buffer per flush, packed in place (length prefix
-            # patched via pack_into) and written with a single write().
-            # The buffer must be *fresh* each flush: uvloop's transport
-            # keeps a reference to the object it was handed, so reusing
-            # it would corrupt in-flight data.
-            batch = bytearray()
-            frames = 0
-            while True:
-                try:
-                    frame_into(batch, src, dst_site, msg.dst_inc, msg.encoded(fmt))
-                except CodecError as exc:
-                    self.encode_errors += 1
-                    logger.warning("link %s: cannot encode frame: %s", self.name, exc)
-                else:
-                    frames += 1
-                if len(batch) >= batch_bytes:
-                    break
-                try:
-                    msg = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-            if not frames:
-                continue
-            writer.write(batch)
-            await writer.drain()
-            self.frames_sent += frames
-            self.bytes_sent += len(batch)
-            self.flushes += 1
-            if frames > self.max_batch:
-                self.max_batch = frames
+    def data_received(self, data: bytes) -> None:
+        if self._fmt is not None:
+            return  # nothing but the welcome ever travels this way
+        rx = self._rx
+        rx += data
+        if len(rx) < _LEN.size:
+            return
+        (length,) = _LEN.unpack_from(rx, 0)
+        if length <= MAX_FRAME_BYTES and len(rx) < _LEN.size + length:
+            return  # welcome still incomplete
+        welcome: dict[str, Any] = {}
+        if length <= MAX_FRAME_BYTES:
+            try:
+                welcome = decode_frame_body(bytes(rx[_LEN.size : _LEN.size + length]))
+            except CodecError:
+                pass
+        name = welcome.get("codec") if welcome.get("k") == "welcome" else None
+        if name not in self._offer or name not in WIRE_FORMATS:
+            logger.debug("link %s: no usable welcome; assuming JSON peer", self.name)
+            name = FORMAT_JSON
+        self._ready(name)
+
+    def _no_welcome(self) -> None:
+        self._welcome_timer = None
+        logger.debug("link %s: no welcome; assuming JSON peer", self.name)
+        self._ready(FORMAT_JSON)
+
+    def _ready(self, name: str) -> None:
+        if self._welcome_timer is not None:
+            self._welcome_timer.cancel()
+            self._welcome_timer = None
+        self._rx = bytearray()
+        self.wire_format = name
+        self._fmt = WIRE_FORMATS[name]
+        self._schedule_flush()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._reset()
+        closed = self._closed
+        if closed is not None and not closed.done():
+            closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._schedule_flush()
+
+    # -- dialing (off the data path) -----------------------------------
 
     async def _run(self) -> None:
+        loop = asyncio.get_running_loop()
         rng = random.Random()
         backoff = BACKOFF_BASE
         while True:
@@ -292,22 +377,19 @@ class PeerLink:
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, BACKOFF_CAP)
                 continue
+            self._closed = loop.create_future()
             try:
-                reader, writer = await asyncio.open_connection(*address)
+                await loop.create_connection(lambda: self, *address)
             except OSError:
                 await asyncio.sleep(backoff * (0.5 + rng.random()))
                 backoff = min(backoff * 2, BACKOFF_CAP)
                 continue
-            self._writer = writer
             self.connects += 1
-            try:
-                fmt = await self._handshake(reader, writer)
-                backoff = BACKOFF_BASE  # handshake done: healthy link
-                await self._drain_queue(writer, fmt)
-            except (OSError, ConnectionError):
-                logger.info("link %s: peer went away; reconnecting", self.name)
-            finally:
-                await self._close_writer()
+            await self._closed
+            # The dial succeeded: the next one starts from the base
+            # backoff again.
+            backoff = BACKOFF_BASE
+            logger.info("link %s: peer went away; reconnecting", self.name)
 
 
 class FrameServer:
@@ -341,7 +423,7 @@ class FrameServer:
         #: service), None ignores the frame as before.
         self._on_control = on_control
         self._server: asyncio.base_events.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._conns: set[_InboundConnection] = set()
         self.frames_received = 0
         self.bytes_received = 0
         self.reads = 0
@@ -364,31 +446,34 @@ class FrameServer:
         return host, port
 
     async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._handle, self._host, self._port
+        self._server = await asyncio.get_running_loop().create_server(
+            self.connection, self._host, self._port
         )
         return self.address
+
+    def connection(self) -> "_InboundConnection":
+        """Protocol factory: one :class:`_InboundConnection` per accept."""
+        return _InboundConnection(self)
 
     async def stop(self) -> None:
         server, self._server = self._server, None
         if server is not None:
             server.close()
+        # Close live connections before waiting on the server: newer
+        # asyncio's wait_closed also waits for every accepted connection.
+        for conn in list(self._conns):
+            conn.close()
+        self._conns.clear()
+        if server is not None:
             await server.wait_closed()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        for task in list(self._conn_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._conn_tasks.clear()
 
     def _split_frames(self, buf: bytearray) -> list[bytes]:
         """Carve every complete ``length + body`` frame off ``buf``.
 
-        Retained as the copying reference implementation (and for the
-        framing unit tests); the live receive loop in :meth:`_handle`
-        walks frame extents in place instead.
+        Retained as the copying reference implementation for the
+        framing tests; the live receive path
+        (:meth:`_InboundConnection.data_received`) walks frame extents
+        in place instead.
         """
         bodies: list[bytes] = []
         pos = 0
@@ -408,128 +493,162 @@ class FrameServer:
             del buf[:pos]
         return bodies
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        buf = bytearray()
-        fmt: Any = None  # negotiated after the hello
-        on_msg = self._on_msg
 
-        def send(data: bytes) -> None:
-            # Per-connection reply channel handed to the control hook;
-            # safe to call after the dispatching frame (deferred client
-            # replies), a no-op once the peer is gone.
-            if not writer.is_closing():
-                writer.write(data)
+class _InboundConnection(asyncio.Protocol):
+    """One accepted connection: hello/welcome, then frame dispatch."""
 
-        try:
-            while True:
-                chunk = await reader.read(READ_CHUNK)
-                if not chunk:
-                    if buf:  # EOF mid-frame
-                        self.bad_connections += 1
-                        logger.info("server %s:%s: connection closed mid-frame",
-                                    self._host, self._port)
-                    return
-                buf += chunk
-                self.bytes_received += len(chunk)
-                # Walk complete frames in place: each body is parsed at
-                # its (start, end) extent inside the read buffer, no
-                # per-frame slice.  Dispatch is synchronous, so every
-                # payload thunk is consumed before the buffer is
-                # compacted below.  Rare paths (hello, control frames)
-                # still copy their body out.
-                pos = 0
-                end = len(buf)
-                walked = 0
-                msgs = 0
-                while end - pos >= _LEN.size:
-                    (length,) = _LEN.unpack_from(buf, pos)
-                    if length > MAX_FRAME_BYTES:
-                        raise CodecError(
-                            f"frame length {length} exceeds cap {MAX_FRAME_BYTES}"
-                        )
-                    body_start = pos + _LEN.size
-                    frame_end = body_start + length
-                    if frame_end > end:
-                        break
-                    if fmt is None:
-                        # First frame must be the JSON hello; answer
-                        # with a welcome naming the format the rest of
-                        # the stream (and any later frames already in
-                        # this batch) uses.
-                        hello = decode_frame_body(bytes(buf[body_start:frame_end]))
-                        if hello.get("k") != "hello":
-                            self.bad_connections += 1
-                            return
-                        chosen = choose_format(
-                            hello.get("codecs"), hello.get("schema"), self._accept
-                        )
-                        writer.write(encode_frame({"k": "welcome", "codec": chosen}))
-                        await writer.drain()
-                        fmt = WIRE_FORMATS[chosen]
-                        self.format_counts[chosen] = (
-                            self.format_counts.get(chosen, 0) + 1
-                        )
-                        pos = frame_end
-                        continue
-                    walked += 1
-                    try:
-                        parsed = fmt.parse_msg_at(buf, body_start, frame_end)
-                        if parsed is None:
-                            # Not a msg frame: offer it to the control
-                            # hook (obs polls, client requests); unknown
-                            # kinds stay ignored so future frames don't
-                            # kill the link.
-                            if self._on_control is not None:
-                                reply = self._on_control(
-                                    fmt, bytes(buf[body_start:frame_end]), send
-                                )
-                                if reply is not None:
-                                    writer.write(reply)
-                                    await writer.drain()
-                        else:
-                            msgs += 1
-                            on_msg(parsed)
-                    except CodecError as exc:
-                        # The framing is intact (the length prefix was
-                        # sane), only this body is garbage: drop the one
-                        # frame and keep the link — a single bad payload
-                        # must not sever an otherwise healthy peer.
-                        self.bad_frames += 1
-                        logger.info(
-                            "server %s:%s: dropped bad frame: %s",
-                            self._host, self._port, exc,
-                        )
-                    pos = frame_end
-                if pos:
-                    del buf[:pos]
-                if walked:
-                    self.reads += 1
-                    self.frames_received += msgs
-                    if walked > self.max_frames_per_read:
-                        self.max_frames_per_read = walked
-        except CodecError as exc:
-            self.bad_connections += 1
-            logger.info("server %s:%s: bad peer frame: %s", self._host, self._port, exc)
-        except (OSError, ConnectionError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancels connection tasks; swallowing the
-            # cancellation here lets the task finish cleanly instead of
-            # tripping asyncio.streams' connection_made callback, which
-            # would log a spurious traceback for every open connection.
-            pass
-        finally:
-            writer.close()
+    def __init__(self, server: FrameServer) -> None:
+        self._server = server
+        self._transport: asyncio.Transport | None = None
+        self._fmt: Any = None  # negotiated after the hello
+        #: Partial frame carried over from the previous chunk.
+        self._carry = bytearray()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+        self._server._conns.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._server._conns.discard(self)
+        self._carry = bytearray()
+
+    def close(self) -> None:
+        if self._transport is not None:
+            _close_transport(self._transport)
+
+    def send(self, data: bytes) -> None:
+        """Per-connection reply channel handed to the control hook; safe
+        to call after the dispatching frame (deferred client replies), a
+        no-op once the peer is gone."""
+        transport = self._transport
+        if transport is not None and not transport.is_closing():
+            transport.write(data)
+
+    # A client that does not read its replies must not grow our write
+    # buffer without bound: stop reading its requests until it catches up.
+    def pause_writing(self) -> None:
+        self._transport.pause_reading()  # type: ignore[union-attr]
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()  # type: ignore[union-attr]
+
+    def eof_received(self) -> bool:
+        if self._carry:
+            server = self._server
+            server.bad_connections += 1
+            logger.info("server %s:%s: connection closed mid-frame",
+                        server._host, server._port)
+        return False
+
+    def _reject(self, reason: str) -> None:
+        server = self._server
+        server.bad_connections += 1
+        logger.info("server %s:%s: bad peer frame: %s",
+                    server._host, server._port, reason)
+        self._carry = bytearray()
+        self.close()
+
+    def data_received(self, data: bytes) -> None:
+        server = self._server
+        server.bytes_received += len(data)
+        carry = self._carry
+        if carry:
+            carry += data
+            buf: Any = carry
+        else:
+            buf = data  # no partial frame pending: parse the chunk itself
+        pos = 0
+        end = len(buf)
+        if self._fmt is None:
+            pos = self._hello(buf)
+            if pos is None:
+                return
+            if not pos:
+                if buf is data:
+                    carry += data
+                return
+        fmt = self._fmt
+        on_msg = server._on_msg
+        unpack = _LEN.unpack_from
+        walked = 0
+        msgs = 0
+        # Walk complete frames in place: each body is parsed at its
+        # (start, end) extent, no per-frame slice.  Dispatch is
+        # synchronous, so every payload thunk is consumed before the
+        # carry buffer is compacted below.  Control frames (obs polls,
+        # client requests) copy their body out.
+        while end - pos >= 4:
+            (length,) = unpack(buf, pos)
+            if length > MAX_FRAME_BYTES:
+                self._reject(f"frame length {length} exceeds cap {MAX_FRAME_BYTES}")
+                pos = -1
+                break
+            body_start = pos + 4
+            frame_end = body_start + length
+            if frame_end > end:
+                break
+            walked += 1
             try:
-                await writer.wait_closed()
-            except OSError:
-                pass
+                parsed = fmt.parse_msg_at(buf, body_start, frame_end)
+                if parsed is None:
+                    # Not a msg frame: offer it to the control hook;
+                    # unknown kinds stay ignored so future frames don't
+                    # kill the link.
+                    on_control = server._on_control
+                    if on_control is not None:
+                        reply = on_control(fmt, bytes(buf[body_start:frame_end]), self.send)
+                        if reply is not None:
+                            self.send(reply)
+                else:
+                    msgs += 1
+                    on_msg(parsed)
+            except CodecError as exc:
+                # The framing is intact (the length prefix was sane),
+                # only this body is garbage: drop the one frame and keep
+                # the link — a single bad payload must not sever an
+                # otherwise healthy peer.
+                server.bad_frames += 1
+                logger.info("server %s:%s: dropped bad frame: %s",
+                            server._host, server._port, exc)
+            pos = frame_end
+        if walked:
+            server.reads += 1
+            server.frames_received += msgs
+            if walked > server.max_frames_per_read:
+                server.max_frames_per_read = walked
+        if pos < 0:
+            return
+        if buf is carry:
+            del carry[:pos]
+        elif pos < end:
+            carry += memoryview(data)[pos:]
+
+    def _hello(self, buf: Any) -> int | None:
+        """Answer the opening hello; returns the offset after it, 0 while
+        it is incomplete, None when the connection was rejected."""
+        if len(buf) < _LEN.size:
+            return 0
+        (length,) = _LEN.unpack_from(buf, 0)
+        if length > MAX_FRAME_BYTES:
+            self._reject(f"frame length {length} exceeds cap {MAX_FRAME_BYTES}")
+            return None
+        frame_end = _LEN.size + length
+        if frame_end > len(buf):
+            return 0
+        try:
+            hello = decode_frame_body(bytes(buf[_LEN.size : frame_end]))
+        except CodecError as exc:
+            self._reject(str(exc))
+            return None
+        if hello.get("k") != "hello":
+            self._reject("first frame is not a hello")
+            return None
+        server = self._server
+        chosen = choose_format(hello.get("codecs"), hello.get("schema"), server._accept)
+        self.send(encode_frame({"k": "welcome", "codec": chosen}))
+        self._fmt = WIRE_FORMATS[chosen]
+        server.format_counts[chosen] = server.format_counts.get(chosen, 0) + 1
+        return frame_end
 
 
 async def wait_for_condition(

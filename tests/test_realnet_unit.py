@@ -277,3 +277,34 @@ def test_wallclock_now_advances():
         assert sched.now >= start + 0.015
 
     asyncio.run(asyncio.wait_for(scenario(), 5))
+
+
+# ---------------------------------------------------------------------------
+# Drivers: blocking calls from the loop thread fail fast and leak nothing
+# ---------------------------------------------------------------------------
+
+
+def test_proc_driver_wait_until_on_loop_thread_raises_without_coroutine():
+    import gc
+    import threading
+    import warnings
+
+    from repro.errors import SimulationError
+    from repro.realnet.proc_driver import ProcRealClusterDriver
+
+    driver = ProcRealClusterDriver(2)
+    loop = asyncio.new_event_loop()
+    # Pose as the driver's loop thread without spawning any process.
+    driver._loop, driver._thread = loop, threading.current_thread()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SimulationError, match="loop thread"):
+                driver.wait_until(lambda d: True, timeout=0.1)
+            with pytest.raises(SimulationError, match="loop thread"):
+                driver.settle(timeout=0.1)
+            gc.collect()
+        assert not [w for w in caught if "never awaited" in str(w.message)]
+    finally:
+        driver._loop = driver._thread = None
+        loop.close()
