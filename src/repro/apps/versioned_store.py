@@ -27,6 +27,20 @@ living versioned data rather than static rows:
 Writes are allowed in every view (each partition keeps serving its
 clients; chains make the repair safe), which makes this the store-side
 half of the paper's partition-availability story.
+
+**Same-turn put batching.**  A put is accepted (exactly-once index,
+then mode) into an open batch; the first put of a scheduler turn arms
+one zero-delay flush, which multicasts every accepted put as a single
+``("puts", ((key, value, client, client_seq, seq), ...))`` operation —
+a lone put is a batch of one.  View-synchronous delivery hands the
+whole batch to every surviving member atomically, so the batch shares
+one multicast, one :class:`~repro.core.versioning.QuorumTally` entry
+and one :class:`_StoreAck` per replica, while each put keeps its own
+provenance ``(view_epoch, writer, seq)`` (``seq`` is the writer's
+per-incarnation put counter), exactly-once application and audit
+events.  A batch never outgrows the transport's frame cap: puts carry
+their request frame length as a size hint, and the open batch is
+flushed early at :data:`_BATCH_BYTES` or :data:`_BATCH_PUTS`.
 """
 
 from __future__ import annotations
@@ -43,7 +57,6 @@ from repro.core.versioning import (
     VersionEntry,
     merge_chains,
     newest_incarnations,
-    provenance_of,
 )
 from repro.evs.eview import EView
 from repro.trace.events import AppEvent
@@ -54,6 +67,15 @@ _LOG_KEY = "versioned_store.log"
 
 #: Appended writes between full-base compactions of the persisted state.
 _COMPACT_EVERY = 4096
+
+#: Most puts one batch multicast carries.
+_BATCH_PUTS = 256
+#: Request bytes one batch multicast may carry: an eighth of the
+#: transport's 16 MiB frame cap (``repro.realnet.codec.MAX_FRAME_BYTES``),
+#: which leaves room for the message envelope and for a peer codec
+#: that encodes a value up to 6x larger than the client's did (JSON
+#: escapes a control character in 6 bytes).
+_BATCH_BYTES = 2 * 1024 * 1024
 
 
 def prov_tuple(prov: Provenance) -> tuple[int, int, int, int]:
@@ -74,14 +96,36 @@ class PutHandle:
     value: Any
     client: str = ""
     client_seq: int = 0
+    #: The batch multicast that carried this put, once flushed.
     msg_id: MessageId | None = None
-    acked_votes: int = 0
+    #: The writer's put counter: the ``seq`` of this put's provenance.
+    seq: int = 0
     status: str = "pending"  # pending | committed | aborted
-    ackers: set[ProcessId] = field(default_factory=set)
     #: Read-your-writes token, set when the put commits.
     token: Provenance | None = None
     #: Completion callback (service tier replies to the client here).
     on_done: Callable[["PutHandle"], None] | None = None
+
+    @property
+    def done(self) -> bool:
+        return self.status != "pending"
+
+
+@dataclass
+class _PutBatch:
+    """The puts one replica accepted in one turn.
+
+    One multicast carries them and one tally entry (this object, duck
+    typed for :class:`QuorumTally`) certifies them all at once.
+    """
+
+    trace: Any = None
+    handles: list[PutHandle] = field(default_factory=list)
+    #: Sum of the puts' size hints (request frame bytes).
+    size: int = 0
+    acked_votes: int = 0
+    status: str = "pending"  # pending | committed | aborted
+    ackers: set[ProcessId] = field(default_factory=set)
 
     @property
     def done(self) -> bool:
@@ -113,6 +157,10 @@ class VersionedStore(GroupObject):
         #: (client, client_seq) -> (key, prov): the exactly-once index.
         self._client_index: dict[tuple[str, int], tuple[Any, Provenance]] = {}
         self._tally = QuorumTally({})
+        #: Puts accepted this turn, awaiting the armed flush.
+        self._batch: _PutBatch | None = None
+        #: This incarnation's put counter (provenance ``seq``).
+        self._put_seq = 0
         self.audit_trace = audit_trace
         self.puts_committed = 0
         self.puts_aborted = 0
@@ -150,15 +198,19 @@ class VersionedStore(GroupObject):
         client_seq: int = 0,
         on_done: Callable[[PutHandle], None] | None = None,
         trace: Any = None,
+        size: int = 0,
     ) -> PutHandle:
         """Append a new version of ``key``.
 
         Returns a handle that commits once a majority of the current
         view applied the write; a view change aborts it and the client
         retries with the same ``(client, client_seq)``, which the
-        exactly-once index collapses onto the original entry.
+        exactly-once index collapses onto the original entry.  The put
+        joins this turn's batch (see the module docstring); ``size`` is
+        its request frame length, which bounds the batch's wire size.
         ``trace`` names the causal parent of the replication multicast
-        (the serving tier's request span; tracing only).
+        (the serving tier's request span; tracing only) — the first put
+        of a batch parents the batch.
         """
         handle = PutHandle(key, value, client, client_seq, on_done=on_done)
         if client:
@@ -172,21 +224,46 @@ class VersionedStore(GroupObject):
                 self._finish(handle)
                 return handle
         if self.mode is not Mode.NORMAL:
-            handle.status = "aborted"
-            self.puts_aborted += 1
-            self._finish(handle)
+            self._abort([handle])
             return handle
-        msg_id = self.submit_op(("put", key, value, client, client_seq), trace)
+        batch = self._batch
+        if batch is None:
+            batch = self._batch = _PutBatch(trace)
+            self.stack.scheduler.fire_after(0.0, self._flush_puts)
+        elif len(batch.handles) >= _BATCH_PUTS or batch.size + size > _BATCH_BYTES:
+            # Full: send it now; the armed flush takes the next batch.
+            self._flush_puts()
+            batch = self._batch = _PutBatch(trace)
+        batch.handles.append(handle)
+        batch.size += size
+        return handle
+
+    def _flush_puts(self) -> None:
+        """Multicast the open batch as one ``puts`` operation."""
+        batch, self._batch = self._batch, None
+        if batch is None:
+            return
+        msg_id = None
+        if self.stack.alive and self.mode is Mode.NORMAL:
+            items = []
+            for handle in batch.handles:
+                self._put_seq += 1
+                handle.seq = self._put_seq
+                items.append(
+                    (handle.key, handle.value, handle.client, handle.client_seq,
+                     handle.seq)
+                )
+            msg_id = self.submit_op(("puts", tuple(items)), batch.trace)
         if msg_id is None:
-            handle.status = "aborted"  # a view change is in progress
-            self.puts_aborted += 1
-            self._finish(handle)
-            return handle
-        handle.msg_id = msg_id
-        committed = self._tally.open(msg_id, handle, self.pid)
+            # Crashed, left NORMAL, or a view change is in progress
+            # since the puts were accepted: nothing was sent.
+            self._abort(batch.handles)
+            return
+        for handle in batch.handles:
+            handle.msg_id = msg_id
+        committed = self._tally.open(msg_id, batch, self.pid)
         if committed is not None:
             self._committed(committed)
-        return handle
 
     def get(self, key: Any, ryw: Provenance | None = None) -> ReadResult:
         """Read the newest version of ``key``.
@@ -236,16 +313,19 @@ class VersionedStore(GroupObject):
     # ------------------------------------------------------------------
 
     def apply_op(self, sender: ProcessId, op: Any, msg_id: MessageId) -> None:
-        kind, key, value, client, client_seq = op
-        if kind != "put":
+        kind, items = op
+        if kind != "puts":
             return
-        prov = provenance_of(msg_id)
-        duplicate = bool(client) and (client, client_seq) in self._client_index
-        if not duplicate:
+        epoch = msg_id.view.epoch
+        index = self._client_index
+        for key, value, client, client_seq, seq in items:
+            if client and (client, client_seq) in index:
+                continue  # a retry, possibly within this very batch
+            prov = Provenance(epoch, sender, seq)
             entry = VersionEntry(value, prov, client, client_seq)
             self.chains[key] = self.chains.get(key, ()) + (entry,)
             if client:
-                self._client_index[(client, client_seq)] = (key, prov)
+                index[(client, client_seq)] = (key, prov)
             self._persist_entry(key, entry)
             if self.audit_trace:
                 self._record(
@@ -257,8 +337,8 @@ class VersionedStore(GroupObject):
                         "client_seq": client_seq,
                     },
                 )
-        # Acknowledge even duplicates: the writer's retry still needs
-        # its quorum certificate.
+        # One ack per batch, duplicates included: the writer's retry
+        # still needs its quorum certificate.
         if sender == self.pid:
             committed = self._tally.ack(msg_id, self.pid, self.pid)
             if committed is not None:
@@ -272,26 +352,36 @@ class VersionedStore(GroupObject):
             if committed is not None:
                 self._committed(committed)
 
-    def _committed(self, handle: PutHandle) -> None:
-        self.puts_committed += 1
-        done = None
-        if handle.client:
-            done = self._client_index.get((handle.client, handle.client_seq))
-        if done is not None:
-            handle.token = done[1]
-        elif handle.msg_id is not None:
-            handle.token = provenance_of(handle.msg_id)
-        if self.audit_trace and handle.token is not None:
-            self._record(
-                "store_ack",
-                {
-                    "key": handle.key,
-                    "prov": prov_tuple(handle.token),
-                    "client": handle.client,
-                    "client_seq": handle.client_seq,
-                },
-            )
-        self._finish(handle)
+    def _committed(self, batch: _PutBatch) -> None:
+        for handle in batch.handles:
+            handle.status = "committed"
+            self.puts_committed += 1
+            done = None
+            if handle.client:
+                done = self._client_index.get((handle.client, handle.client_seq))
+            if done is not None:
+                handle.token = done[1]
+            else:
+                handle.token = Provenance(
+                    handle.msg_id.view.epoch, self.pid, handle.seq
+                )
+            if self.audit_trace:
+                self._record(
+                    "store_ack",
+                    {
+                        "key": handle.key,
+                        "prov": prov_tuple(handle.token),
+                        "client": handle.client,
+                        "client_seq": handle.client_seq,
+                    },
+                )
+            self._finish(handle)
+
+    def _abort(self, handles: list[PutHandle]) -> None:
+        for handle in handles:
+            handle.status = "aborted"
+            self.puts_aborted += 1
+            self._finish(handle)
 
     def _finish(self, handle: PutHandle) -> None:
         if handle.on_done is not None:
@@ -300,10 +390,13 @@ class VersionedStore(GroupObject):
 
     def on_view(self, eview: EView) -> None:
         # Quorums are per view: abort what the old view cannot certify
-        # and retally over the new membership (one vote per site).
-        for handle in self._tally.abort_all():
-            self.puts_aborted += 1
-            self._finish(handle)
+        # (sent or still open) and retally over the new membership (one
+        # vote per site).
+        for batch in self._tally.abort_all():
+            self._abort(batch.handles)
+        batch, self._batch = self._batch, None
+        if batch is not None:
+            self._abort(batch.handles)
         self._tally = QuorumTally({m.site: 1 for m in eview.members})
         super().on_view(eview)
 

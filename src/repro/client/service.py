@@ -53,6 +53,12 @@ class StoreService:
         self._obs = obs
         self._requests = None
         self._duration = None
+        #: Frame length of the request being served (realnet); a put
+        #: passes it to the store as its share of the batch multicast.
+        #: Set around the call rather than passed as an argument, so
+        #: ``handle_request(request, reply_cb)`` keeps one signature for
+        #: both runtimes and for wrappers around it.
+        self._frame_bytes = 0
         if registry is not None:
             self._requests = registry.counter(
                 "client_requests_total",
@@ -143,6 +149,7 @@ class StoreService:
             client_seq=request.client_seq,
             on_done=on_done,
             trace=ctx,
+            size=self._frame_bytes,
         )
 
     def _read(self, request: ClientRequest) -> ClientReply:
@@ -203,7 +210,11 @@ class StoreService:
                 )
             )
             return None
-        self.handle_request(
-            request, lambda reply: send(client_reply_frame(fmt, reply))
-        )
+        self._frame_bytes = len(body)
+        try:
+            self.handle_request(
+                request, lambda reply: send(client_reply_frame(fmt, reply))
+            )
+        finally:
+            self._frame_bytes = 0
         return None

@@ -6,8 +6,10 @@ record store, the quorum file and the lock manager consume one
 implementation:
 
 * **Provenance** — the ``(view_epoch, writer, seq)`` coordinate of one
-  applied external operation, derived from its :class:`~repro.types.
-  MessageId`.  Provenance totally orders writes system-wide (epochs
+  applied external operation: the epoch and writer of the
+  :class:`~repro.types.MessageId` that carried it, and a per-writer
+  sequence number (the versioned store's put counter, so that one
+  multicast can carry several writes).  Provenance totally orders writes system-wide (epochs
   grow along every history; within an epoch the writer identifier and
   its per-view sequence number break ties) and names them stably across
   partitions, merges and state transfers.
@@ -44,7 +46,6 @@ __all__ = [
     "Provenance",
     "VersionEntry",
     "QuorumTally",
-    "provenance_of",
     "merge_chains",
     "newest_incarnations",
 ]
@@ -54,8 +55,8 @@ __all__ = [
 class Provenance:
     """Where one write came from: ``(view_epoch, writer, seq)``.
 
-    The triple is a projection of the write's :class:`MessageId` that
-    drops the view coordinator: coordinators differ between concurrent
+    The triple drops the view coordinator of the carrying
+    :class:`MessageId`: coordinators differ between concurrent
     partitions with equal epochs, and provenance must order such writes
     the same way at every site, so only writer identity breaks the tie.
     """
@@ -66,11 +67,6 @@ class Provenance:
 
     def __str__(self) -> str:
         return f"w{self.view_epoch}/{self.writer}/{self.seq}"
-
-
-def provenance_of(msg_id: MessageId) -> Provenance:
-    """The provenance coordinate of the operation multicast ``msg_id``."""
-    return Provenance(msg_id.view.epoch, msg_id.sender, msg_id.seqno)
 
 
 @dataclass(frozen=True)

@@ -160,9 +160,10 @@ class DetectorBase:
         """A gossip digest arrived.  The base treatment (used when a
         heartbeat-plane node shares a cluster with gossip-plane nodes)
         is to read it as a plain beacon from its sender; the gossip
-        detector overrides this to mine the entries."""
+        detector overrides this to mine the entries.  Liveness was
+        already refreshed: the stack calls :meth:`heard` for every
+        delivery before dispatching it here."""
         self._heard_views[src] = (self.stack.now, digest.view_id)
-        self.heard(src)
 
     def force_down(self, site: SiteId) -> None:
         """Expire a site immediately (used for graceful leaves)."""
@@ -250,5 +251,5 @@ class HeartbeatDetector(DetectorBase):
     # -- receiving --------------------------------------------------------
 
     def on_heartbeat(self, src: ProcessId, beat: Heartbeat) -> None:
+        # Liveness was refreshed by the stack's per-delivery heard().
         self._heard_views[src] = (self.stack.now, beat.view_id)
-        self.heard(src)

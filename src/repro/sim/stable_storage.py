@@ -22,12 +22,30 @@ counters, view logs of frozen records) hit the zero-copy path.
 from __future__ import annotations
 
 import copy
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from typing import Any, Iterator
 
 from repro.types import SiteId
 
 _ATOMIC = (int, float, complex, bool, str, bytes, type(None))
+
+#: Shape marker: the value's items must be checked (tuple, frozenset).
+_ITEMS = object()
+#: Per type, what :func:`_is_immutable` must check of its instances:
+#: ``()`` nothing (atomic), :data:`_ITEMS` every item, a tuple of field
+#: names (frozen dataclass), or None (mutable: never shared).
+_SHAPES: dict[type, Any] = {}
+
+
+def _shape(cls: type) -> Any:
+    if issubclass(cls, _ATOMIC):
+        return ()
+    if issubclass(cls, (tuple, frozenset)):
+        return _ITEMS
+    params = getattr(cls, "__dataclass_params__", None)
+    if params is not None and params.frozen:
+        return tuple(f.name for f in fields(cls))
+    return None
 
 
 def _is_immutable(value: Any) -> bool:
@@ -35,20 +53,26 @@ def _is_immutable(value: Any) -> bool:
 
     The check must stay structural: a frozen dataclass may still carry a
     mutable object in an ``Any`` field (e.g. a ``Message`` payload), so
-    per-type verdicts cannot be cached.
+    per-type verdicts cannot be cached.  Only each type's *shape* (which
+    fields or items to look into) is cached; the values are checked on
+    every call.
     """
-    if isinstance(value, _ATOMIC):
+    cls = type(value)
+    try:
+        shape = _SHAPES[cls]
+    except KeyError:
+        shape = _SHAPES[cls] = _shape(cls)
+    if shape is None:
+        return False
+    if shape is _ITEMS:
+        for item in value:
+            if not _is_immutable(item):
+                return False
         return True
-    if isinstance(value, (tuple, frozenset)):
-        return all(_is_immutable(item) for item in value)
-    if is_dataclass(value) and not isinstance(value, type):
-        params = getattr(value, "__dataclass_params__", None)
-        if params is None or not params.frozen:
+    for name in shape:
+        if not _is_immutable(getattr(value, name)):
             return False
-        return all(
-            _is_immutable(getattr(value, f.name)) for f in fields(value)
-        )
-    return False
+    return True
 
 
 def snapshot(value: Any) -> Any:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.fd.heartbeat import Heartbeat
 from repro.net.latency import SpikeLatency
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.vsync.stack import StackConfig
@@ -86,3 +87,20 @@ def test_view_disagreement_detected():
     assert not stack.fd.view_disagreement(
         since=stack.membership.last_install_time
     )
+
+
+def test_heartbeat_refreshes_liveness_once_and_records_heard_view():
+    cluster = settled_cluster(3)
+    stack = cluster.stack_at(0)
+    fd = stack.fd
+    src = cluster.stack_at(2).pid
+    fd.force_down(2)
+    assert src not in fd.reachable()
+    calls = []
+    heard = fd.heard
+    fd.heard = lambda pid: (calls.append(pid), heard(pid))
+    view_id = cluster.stack_at(2).current_view_id()
+    stack.on_network(src, Heartbeat(src, view_id))
+    assert calls == [src]
+    assert src in fd.reachable()
+    assert fd.heard_view(src) == view_id

@@ -4,6 +4,9 @@ copy-on-write stable storage, and heartbeat phase staggering."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any
+
 import pytest
 
 from repro.errors import SimulationError
@@ -312,6 +315,25 @@ def test_snapshot_copies_frozen_dataclass_with_mutable_field():
 
     msg = Message(MessageId(ProcessId(0), ViewId(1, ProcessId(0)), 1), ["mut"])
     assert snapshot(msg) is not msg
+
+
+def test_snapshot_verdict_is_per_value_not_per_class():
+    # The per-class field-name cache must not turn into a per-class
+    # verdict: the same frozen class is shared or copied by its contents,
+    # in either order.
+    @dataclass(frozen=True)
+    class Boxed:
+        tag: str
+        payload: Any
+
+    for _ in range(2):
+        shared = Boxed("a", (1, "x"))
+        assert snapshot(shared) is shared
+        held = Boxed("b", [1, 2])
+        copy_ = snapshot(held)
+        assert copy_ is not held and copy_ == held
+        held.payload.append(3)
+        assert copy_.payload == [1, 2]
 
 
 def test_storage_write_isolates_mutable_and_shares_immutable():

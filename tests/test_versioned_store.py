@@ -12,6 +12,7 @@ from repro.apps.versioned_store import (
     prov_tuple,
 )
 from repro.client.sim import SimStoreClient
+from repro.core.modes import Mode
 from repro.core.versioning import Provenance, VersionEntry
 from repro.fuzz.checkers import CheckContext, make_checkers, run_checkers
 from repro.runtime.cluster import Cluster, ClusterConfig
@@ -267,3 +268,190 @@ def test_no_acked_write_lost_across_crash_recover_partition_merge() -> None:
     )
     assert reports and reports[0].checked > 0
     assert not reports[0].violations, reports[0].violations
+
+
+# ---------------------------------------------------------------------------
+# Same-turn put batching
+# ---------------------------------------------------------------------------
+
+
+def _count_traffic(cluster: Cluster, writer: int):
+    """Count the writer's ``puts`` multicasts and every replica's acks."""
+    multicasts: list = []
+    acks = {site: 0 for site in cluster.stacks}
+    stack = cluster.stack_at(writer)
+    multicast = stack.multicast
+
+    def counted_multicast(payload, trace=None):
+        if getattr(payload, "op", (None,))[0] == "puts":
+            multicasts.append(payload.op)
+        return multicast(payload, trace)
+
+    stack.multicast = counted_multicast
+    for site in cluster.stacks:
+        replica = cluster.stack_at(site)
+
+        def counted_direct(dst, payload, site=site, send=replica.send_direct):
+            if isinstance(payload, vs_mod._StoreAck):
+                acks[site] += 1
+            send(dst, payload)
+
+        replica.send_direct = counted_direct
+    return multicasts, acks
+
+
+def _burst(cluster: Cluster, site: int, puts: list[tuple], done: list) -> list:
+    """Submit ``puts`` from one scheduled callback (one turn) at ``site``."""
+    handles: list = []
+
+    def turn() -> None:
+        app = cluster.app_at(site)
+        for key, value, client, seq, size in puts:
+            handles.append(
+                app.put(key, value, client=client, client_seq=seq, size=size,
+                        on_done=lambda h: done.append((cluster.now, h)))
+            )
+
+    cluster.after(1.0, turn)
+    return handles
+
+
+def test_same_turn_puts_share_one_multicast_and_one_ack_per_replica() -> None:
+    cluster = store_cluster()
+    multicasts, acks = _count_traffic(cluster, 0)
+    done: list = []
+    handles = _burst(
+        cluster, 0, [(f"k{i}", i, "b", i + 1, 0) for i in range(5)], done
+    )
+    cluster.run_for(100)
+    assert len(multicasts) == 1 and len(multicasts[0][1]) == 5
+    assert acks == {0: 0, 1: 1, 2: 1, 3: 1, 4: 1}
+    assert all(h.status == "committed" for h in handles)
+    assert len({when for when, _h in done}) == 1  # committed together
+    tokens = [h.token for h in handles]
+    assert len(set(tokens)) == 5 and tokens == sorted(tokens)
+    assert all(t.writer == cluster.stack_at(0).pid for t in tokens)
+    for site in range(5):
+        app = cluster.app_at(site)
+        for i, handle in enumerate(handles):
+            assert [e.prov for e in app.chains[f"k{i}"]] == [handle.token]
+
+
+def test_duplicates_within_and_across_batches_apply_once() -> None:
+    cluster = store_cluster()
+    multicasts, _acks = _count_traffic(cluster, 0)
+    done: list = []
+    first = _burst(
+        cluster, 0, [("k", "v", "d", 1, 0), ("k", "v", "d", 1, 0),
+                     ("j", "w", "d", 2, 0)], done,
+    )
+    cluster.run_for(100)
+    assert len(multicasts) == 1
+    assert [h.status for h in first] == ["committed"] * 3
+    assert first[0].token == first[1].token != first[2].token
+    # The client's retry in a later batch, next to a fresh put: the
+    # retry collapses onto the original entry, the fresh put applies.
+    again = _burst(cluster, 0, [("k", "v", "d", 1, 0), ("m", "x", "d", 3, 0)], done)
+    cluster.run_for(100)
+    assert [h.status for h in again] == ["committed"] * 2
+    assert again[0].token == first[0].token
+    assert len(multicasts) == 2 and len(multicasts[1][1]) == 1
+    for site in range(5):
+        chains = cluster.app_at(site).chains
+        assert [len(chains[key]) for key in ("k", "j", "m")] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("disruption", ["mode", "view", "crash"])
+def test_disruption_between_accept_and_flush_aborts_the_whole_batch(
+    disruption: str,
+) -> None:
+    from repro.client.protocol import ClientRequest
+    from repro.client.service import StoreService
+
+    cluster = store_cluster()
+    multicasts, _acks = _count_traffic(cluster, 0)
+    app = cluster.app_at(0)
+    replies: list = []
+
+    def accept() -> None:
+        service = StoreService(app)
+        for i in range(4):
+            service.handle_request(
+                ClientRequest(i, "put", key=f"x{i}", value=i, client="z",
+                              client_seq=i + 1),
+                replies.append,
+            )
+
+    if disruption == "view":
+        # Accept in the old view from inside the new view's delivery,
+        # before the store itself sees the view change.
+        on_view = app.on_view
+
+        def hooked(eview) -> None:
+            app.on_view = on_view
+            accept()
+            on_view(eview)
+
+        app.on_view = hooked
+        cluster.crash(4)
+    else:
+        def turn() -> None:
+            accept()
+            if disruption == "mode":
+                app.automaton.mode = Mode.SETTLING
+            else:
+                cluster.crash(0)
+
+        cluster.after(1.0, turn)
+    cluster.run_for(300)
+    assert [r.status for r in replies] == ["retry"] * 4
+    assert multicasts == []
+    for site in range(5):
+        assert not any(k.startswith("x") for k in cluster.app_at(site).chains)
+
+
+@pytest.mark.parametrize("bound", ["count", "bytes"])
+def test_size_bound_splits_an_oversized_turn(bound: str) -> None:
+    cluster = store_cluster()
+    multicasts, acks = _count_traffic(cluster, 2)
+    if bound == "count":
+        n, size, batches = 2 * vs_mod._BATCH_PUTS + 5, 0, 3
+    else:
+        n, size, batches = 7, vs_mod._BATCH_BYTES // 3, 3
+    done: list = []
+    handles = _burst(
+        cluster, 2, [(f"s{i}", i, "o", i + 1, size) for i in range(n)], done
+    )
+    cluster.run_for(200)
+    assert len(multicasts) == batches
+    assert sum(len(op[1]) for op in multicasts) == n
+    assert acks[0] == batches and acks[2] == 0
+    assert all(h.status == "committed" for h in handles)
+    tokens = [h.token for h in handles]
+    assert len(set(tokens)) == n and tokens == sorted(tokens)
+
+
+def test_largest_batch_encodes_within_the_frame_cap() -> None:
+    """A batch the byte bound admits fits one frame in either codec,
+    even when the peers' codec inflates every value byte 6x (JSON
+    control-character escapes) relative to the client's."""
+    from types import SimpleNamespace
+
+    from repro.client.protocol import ClientRequest, client_request_frame
+    from repro.core.group_object import _OpMsg
+    from repro.realnet.codec import (
+        MAX_FRAME_BYTES, encode_frame, encode_value,
+    )
+    from repro.realnet.codec_bin import encode_value_bin
+    from repro.types import Message, MessageId, ViewId
+
+    value = "\x01" * (256 * 1024)
+    request = ClientRequest(1, "put", key="k", value=value, client="c", client_seq=1)
+    hint = len(client_request_frame(SimpleNamespace(binary=True), request)) - 4
+    count = vs_mod._BATCH_BYTES // hint
+    assert count >= 2
+    items = tuple((f"k{i}", value, "c", i + 1, i + 1) for i in range(count))
+    pid = ProcessId(0, 0)
+    msg = Message(MessageId(pid, ViewId(1, pid), 1), _OpMsg(("puts", items)))
+    assert len(encode_frame({"k": "msg", "p": encode_value(msg)})) <= MAX_FRAME_BYTES
+    assert len(encode_value_bin(msg)) <= MAX_FRAME_BYTES

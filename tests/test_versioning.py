@@ -11,7 +11,6 @@ from repro.core.versioning import (
     VersionEntry,
     merge_chains,
     newest_incarnations,
-    provenance_of,
 )
 from repro.types import MessageId, ProcessId, ViewId
 
@@ -35,18 +34,6 @@ def test_provenance_orders_by_epoch_then_writer_then_seq() -> None:
     assert prov(2, 2, 1) < prov(2, 2, 2)
     # A recovered incarnation of the same site sorts after the retired one.
     assert prov(2, 2, 1, inc=0) < prov(2, 2, 1, inc=1)
-
-
-def test_provenance_of_projects_message_id() -> None:
-    writer = ProcessId(3, 1)
-    coordinator = ProcessId(0, 0)
-    msg_id = MessageId(writer, ViewId(7, coordinator), 42)
-    p = provenance_of(msg_id)
-    assert p == Provenance(7, writer, 42)
-    # The coordinator is deliberately dropped: concurrent partitions
-    # with equal epochs must order writes identically at every site.
-    other = MessageId(writer, ViewId(7, ProcessId(5, 0)), 42)
-    assert provenance_of(other) == p
 
 
 # ---------------------------------------------------------------------------
